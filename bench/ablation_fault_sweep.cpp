@@ -26,10 +26,6 @@ int main(int argc, char** argv) {
   using namespace sbq;
   using namespace sbq::bench;
   const BenchOptions opts = BenchOptions::parse(argc, argv);
-  if (opts.machine_threads > 1) {
-    std::cerr << "note: the fault sweep forces injection (which the sharded "
-                 "machine refuses); ignoring --machine-threads\n";
-  }
   const std::vector<int> threads = opts.threads_or({4, 16, 32, 44});
   const simq::Value ops = opts.ops_or(200);
   // Top rate 0.8 models "HTM effectively broken": with the default

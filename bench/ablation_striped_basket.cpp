@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
     mcfg.record_trace = !trace_path.empty();
     bench::apply_machine_options(mcfg, opts);
     bench::apply_cas_policy_options(mcfg, opts);
-    if (mcfg.record_trace) mcfg.machine_threads = 1;  // tracing is serial-only
     sim::Machine m(mcfg);
     SimSbq::Config qc;
     qc.enqueuers = t;

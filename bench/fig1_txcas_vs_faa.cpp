@@ -9,7 +9,6 @@
 //
 // Output columns: threads, FAA ns/op, TxCAS ns/op (and TxCAS success rate
 // for context; the paper plots only the latencies).
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -34,16 +33,12 @@ using sim::Task;
 using sim::Time;
 using sim::Value;
 
-// Loop tasks may run on different machine-worker threads under sharding, so
-// the shared accumulators are relaxed atomics over integer cycle counts.
-// Integer addition commutes, the totals stay far below 2^53, and every
-// per-op delta is an exact double, so converting the final sums reproduces
-// the old sequential double accumulation bit-for-bit — the serial goldens
-// are unchanged.
+// Integer cycle counts: the totals stay far below 2^53, so converting the
+// final sums to double is exact.
 struct LoopStats {
-  std::atomic<std::uint64_t> latency_cycles{0};
-  std::atomic<std::uint64_t> ops{0};
-  std::atomic<std::uint64_t> success{0};
+  std::uint64_t latency_cycles = 0;
+  std::uint64_t ops = 0;
+  std::uint64_t success = 0;
 };
 
 Task<void> faa_loop(Machine& m, int core, Addr x, Value ops,
@@ -54,9 +49,9 @@ Task<void> faa_loop(Machine& m, int core, Addr x, Value ops,
   for (Value i = 0; i < ops; ++i) {
     const Time start = c.now();
     co_await c.faa(x, 1);
-    st->latency_cycles.fetch_add(c.now() - start, std::memory_order_relaxed);
-    st->ops.fetch_add(1, std::memory_order_relaxed);
-    st->success.fetch_add(1, std::memory_order_relaxed);
+    st->latency_cycles += c.now() - start;
+    ++st->ops;
+    ++st->success;
     co_await c.think(1 + rng.next_below(8));
   }
 }
@@ -71,9 +66,9 @@ Task<void> txcas_loop(Machine& m, int core, Addr x, Value ops,
     const Value v = co_await c.load(x);
     const Time start = c.now();
     const bool ok = co_await c.txcas(x, v, v + 1, cfg);
-    st->latency_cycles.fetch_add(c.now() - start, std::memory_order_relaxed);
-    st->ops.fetch_add(1, std::memory_order_relaxed);
-    if (ok) st->success.fetch_add(1, std::memory_order_relaxed);
+    st->latency_cycles += c.now() - start;
+    ++st->ops;
+    if (ok) ++st->success;
     co_await c.think(1 + rng.next_below(8));
   }
 }
@@ -87,7 +82,6 @@ double run_mode(const BenchOptions& opts, bool txcas, int threads, Value ops,
   mcfg.record_trace = !trace_path.empty();
   bench::apply_machine_options(mcfg, opts);
   bench::apply_cas_policy_options(mcfg, opts);
-  if (mcfg.record_trace) mcfg.machine_threads = 1;  // tracing is serial-only
   Machine m(mcfg);
   const Addr x = m.alloc();
   auto st = std::make_shared<LoopStats>();
@@ -110,14 +104,14 @@ double run_mode(const BenchOptions& opts, bool txcas, int threads, Value ops,
       std::cerr << "--trace: cannot open " << trace_path << " for writing\n";
     }
   }
-  const std::uint64_t nops = st->ops.load(std::memory_order_relaxed);
+  const std::uint64_t nops = st->ops;
   if (success_rate != nullptr) {
     *success_rate =
-        nops ? static_cast<double>(st->success.load(std::memory_order_relaxed)) /
+        nops ? static_cast<double>(st->success) /
                    static_cast<double>(nops)
              : 0.0;
   }
-  return static_cast<double>(st->latency_cycles.load(std::memory_order_relaxed)) /
+  return static_cast<double>(st->latency_cycles) /
          static_cast<double>(nops) * ns_per_cycle();
 }
 

@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
         }
         table.add_row(out);
       },
-      effective_cold_start(opts), snapshot_cache_policy(opts));
+      opts.cold_start, snapshot_cache_policy(opts));
   if (opts.csv) {
     std::cout << "\n## Dequeue latency [ns/op] (lower is better)\n";
     table.print(std::cout, opts.csv);

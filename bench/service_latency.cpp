@@ -283,13 +283,6 @@ int main(int argc, char** argv) try {
     std::cerr << "service_latency sweeps --rates, not --threads\n";
     return 1;
   }
-  if (opts.machine_threads > 1) {
-    // run_service reads host-side admission state mid-run, which is only
-    // deterministic under the serial engine.
-    std::cerr << "service_latency requires the serial engine "
-                 "(--machine-threads 1)\n";
-    return 1;
-  }
   const std::size_t total_ops = static_cast<std::size_t>(opts.ops_or(400));
   const int repeats = opts.repeats_or(2);
   const std::vector<QueueKind>& queues = evaluated_queue_kinds();
@@ -399,7 +392,7 @@ int main(int argc, char** argv) try {
     reject_table.add_row(rej_row, /*precision=*/3);
   };
 
-  if (effective_cold_start(opts)) {
+  if (opts.cold_start) {
     run_sweep_cells(
         sopts.rates.size(), n_queues * n_repeats, opts.effective_jobs(),
         [&](std::size_t i) {

@@ -17,7 +17,6 @@
 // The process exits nonzero if any steady phase allocates — this is the
 // regression gate that keeps the simulator's hot path allocation-free
 // end-to-end (`ctest -L perf_smoke`).
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -39,18 +38,16 @@
 #include "simqueue/sim_sbq.hpp"
 
 // ---------------------------------------------------------------------------
-// Global allocation counters. Relaxed atomics: under --machine-threads > 1
-// the slice workers allocate concurrently (cold phase only, if the gate
-// holds), and the counters are only read between phases. Every form of
-// operator new funnels through count_alloc.
+// Global allocation counters. Every form of operator new funnels through
+// count_alloc.
 // ---------------------------------------------------------------------------
 
 namespace {
-std::atomic<std::uint64_t> g_alloc_calls{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
+std::uint64_t g_alloc_calls = 0;
+std::uint64_t g_alloc_bytes = 0;
 void count(std::size_t n) {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
+  ++g_alloc_calls;
+  g_alloc_bytes += n;
 }
 
 void* count_alloc(std::size_t n) {
@@ -160,28 +157,24 @@ PhaseResult run_phase(sim::Machine& m, simq::SimSbq& q, int producers,
                       simq::Value ops, std::uint64_t seed) {
   Accum acc;
   const std::uint64_t events_before = m.events_processed();
-  const std::uint64_t allocs_before = g_alloc_calls.load();
-  const std::uint64_t bytes_before = g_alloc_bytes.load();
+  const std::uint64_t allocs_before = g_alloc_calls;
+  const std::uint64_t bytes_before = g_alloc_bytes;
   const auto t0 = std::chrono::steady_clock::now();
-  // Pin each root to the core it runs on: a sharded machine needs the
-  // owning slice up front, and on a serial machine the pin is a no-op.
   for (int p = 0; p < producers; ++p) {
     m.spawn(producer(m, q, p, p, ops,
-                     seed * 1000003 + static_cast<std::uint64_t>(p), &acc),
-            static_cast<sim::CoreId>(p));
+                     seed * 1000003 + static_cast<std::uint64_t>(p), &acc));
   }
   for (int ci = 0; ci < producers; ++ci) {
     m.spawn(consumer(m, q, producers + ci, ci, ops,
-                     seed * 2000003 + static_cast<std::uint64_t>(ci), &acc),
-            static_cast<sim::CoreId>(producers + ci));
+                     seed * 2000003 + static_cast<std::uint64_t>(ci), &acc));
   }
   m.run();
   const auto t1 = std::chrono::steady_clock::now();
   PhaseResult r;
   r.events = m.events_processed() - events_before;
   r.ops = acc.enq + acc.deq;
-  r.allocs = g_alloc_calls.load() - allocs_before;
-  r.bytes = g_alloc_bytes.load() - bytes_before;
+  r.allocs = g_alloc_calls - allocs_before;
+  r.bytes = g_alloc_bytes - bytes_before;
   const double secs = std::chrono::duration<double>(t1 - t0).count();
   r.events_per_sec = secs > 0 ? static_cast<double>(r.events) / secs : 0;
   return r;
@@ -217,43 +210,16 @@ int main(int argc, char** argv) {
     // Adaptive delays reshape every phase's schedule (the persistent
     // failure history keeps evolving across phases), so a steady phase can
     // exceed the cold phase's live-frame and in-flight-event high-water.
-    // Prewarm both pools past any plausible depth for this workload size,
-    // exactly like the sharded leg below.
+    // Prewarm both pools past any plausible depth for this workload size.
     mcfg.prewarm_frames = static_cast<std::size_t>(4 * mcfg.cores) + 32;
     mcfg.prewarm_event_nodes = std::size_t{1} << 12;
   }
-  // --machine-threads > 1 points the same gate at the sliced path: the
-  // per-slice engines, cross-slice channel buffers, and the window-merge
-  // scratch must be equally allocation-free once warm
-  // (perf_sim_alloc_gate_sharded in bench/CMakeLists.txt).
-  if (opts.machine_threads > 1) {
-    mcfg.sockets = opts.sockets > 0 ? opts.sockets : 2;
-    mcfg.dir_slices =
-        opts.dir_slices > 0 ? opts.dir_slices : opts.machine_threads;
-    mcfg.machine_threads = opts.machine_threads;
-    mcfg.alloc_arenas = true;
-    // Steady phases are seeded differently from the cold phase, so their
-    // live-coroutine high-water can exceed what cold warmed up; prewarm
-    // the frame pools past any plausible depth for this workload size.
-    mcfg.prewarm_frames =
-        static_cast<std::size_t>(4 * mcfg.cores) + 32;
-    report.set_config("machine_threads", Json(static_cast<std::uint64_t>(
-                                             opts.machine_threads)));
-    report.set_config(
-        "dir_slices", Json(static_cast<std::uint64_t>(mcfg.dir_slices)));
-  }
-
   // --trace keeps the event ring ON through the measured phases. TraceEvent
   // stores interned literals (no per-event strings) and the ring is reserved
   // to capacity at construction, so recording must not cost a single
   // steady-phase allocation (perf_sim_alloc_gate_traced in
   // bench/CMakeLists.txt). The ring's JSONL is written after the phases.
   if (!opts.trace_path.empty()) {
-    if (opts.machine_threads > 1) {
-      std::cerr << "sim_microbench: --trace requires the serial engine "
-                   "(tracing needs the single global event order)\n";
-      return 1;
-    }
     if (opts.from_snapshot) {
       std::cerr << "sim_microbench: --trace and --from-snapshot are "
                    "mutually exclusive (the trace ring is debug state and "
@@ -332,11 +298,6 @@ int main(int argc, char** argv) {
     // like the machine it replaces — never refills mid-phase; line-table
     // capacities ride along inside the blob.
     if (r == 0 && opts.from_snapshot) {
-      if (mcfg.machine_threads > 1) {
-        std::cerr << "sim_microbench: --from-snapshot requires the serial "
-                     "engine (sharded machines refuse snapshots)\n";
-        return 1;
-      }
       const std::uint64_t key = 0x5ea15ea15ea15ea1ULL;
       std::vector<std::uint64_t> words;
       q.save_host_state(words);

@@ -108,27 +108,15 @@ inline void apply_fault_options(sim::MachineConfig& mcfg,
   }
 }
 
-// Map the shared --machine-threads/--dir-slices/--sockets options onto a
-// machine config (docs/architecture.md "Parallel machine"). Defaults leave
-// the config untouched, so default invocations keep the classic serial
-// engine and its byte-identical goldens. When sharding is requested the
-// slice count defaults to the worker count (the finest legal slicing under
-// kFlat; kLink requires slices == sockets, so derive that instead), and
-// per-core allocation arenas switch on — also for the serial twin
-// (--dir-slices N with --machine-threads 1), which is therefore the exact
-// comparison baseline for a sharded run.
+// Map the shared --dir-slices/--sockets options onto a machine config.
+// Defaults leave the config untouched, so default invocations keep their
+// byte-identical goldens. A sliced directory also switches on per-core
+// allocation arenas.
 inline void apply_machine_options(sim::MachineConfig& mcfg,
                                   const BenchOptions& opts) {
   if (opts.sockets > 0) mcfg.sockets = opts.sockets;
-  int slices = opts.dir_slices;
-  if (slices == 0) {
-    if (opts.machine_threads <= 1) return;
-    slices = mcfg.interconnect_model == sim::InterconnectModel::kLink
-                 ? mcfg.sockets
-                 : opts.machine_threads;
-  }
-  mcfg.dir_slices = std::min(slices, mcfg.cores);
-  mcfg.machine_threads = opts.machine_threads;
+  if (opts.dir_slices == 0) return;
+  mcfg.dir_slices = std::min(opts.dir_slices, mcfg.cores);
   mcfg.alloc_arenas = mcfg.dir_slices > 1;
 }
 
@@ -166,13 +154,6 @@ inline void apply_cas_policy_options(sim::MachineConfig& mcfg,
     mcfg.cas_policy.nonconflict_cost =
         static_cast<std::uint64_t>(opts.policy_nc_cost);
   }
-}
-
-// Snapshots (and thus the shared-warm-snapshot fork path) are refused by
-// sharded machines, so sweeps must cold-start every cell under
-// --machine-threads > 1.
-inline bool effective_cold_start(const BenchOptions& opts) {
-  return opts.cold_start || opts.machine_threads > 1;
 }
 
 enum class Workload { kProducerOnly, kConsumerOnly, kMixed };
@@ -693,15 +674,13 @@ inline void add_row_cells(BenchReport& report, std::size_t row, int threads,
 
 // --record-ops: re-run one representative cell with op recording enabled
 // and write the versioned trace to `path` (docs/replay.md). Like --trace,
-// the recorded re-run is a one-off outside the sweep: recording needs the
-// single global event order only the serial engine produces, and the
-// host-side log append is schedule-invisible, so the recorded run's
-// metrics equal the plain cell's. Returns false on I/O failure.
+// the recorded re-run is a one-off outside the sweep; the host-side log
+// append is schedule-invisible, so the recorded run's metrics equal the
+// plain cell's. Returns false on I/O failure.
 inline bool write_recorded_cell(const std::string& path, QueueKind kind,
                                 sim::MachineConfig mcfg,
                                 const WorkloadSpec& spec) {
   if (path.empty()) return true;
-  mcfg.machine_threads = 1;
   replay::OpTrace trace;
   trace.source = replay::TraceSource::kSim;
   trace.queue = queue_kind_name(kind);
@@ -759,7 +738,7 @@ struct ReplaySummary {
 };
 
 // --replay-ops: feed a recorded trace back as a sim workload under `mcfg`
-// (cores bumped to the trace's need, serial engine forced). The queue kind
+// (cores bumped to the trace's need). The queue kind
 // and workload shape come from the trace header, the machine model from
 // the driver's flags — that is the point: the same logical history under
 // any MachineConfig.
@@ -771,7 +750,6 @@ inline ReplaySummary run_replay_file(const std::string& path,
   }
   const QueueKind kind = queue_kind_from_name(trace.queue);
   const WorkloadSpec spec = spec_from_trace(trace);
-  mcfg.machine_threads = 1;
   mcfg.cores = std::max(mcfg.cores, replay_min_cores(spec));
   ReplaySummary summary;
   summary.trace_records = trace.records.size();
@@ -807,10 +785,6 @@ inline bool write_traced_cell(const std::string& path, QueueKind kind,
                               const WorkloadSpec& spec) {
   if (path.empty()) return true;
   mcfg.record_trace = true;
-  // Tracing needs the single global event order only the serial engine
-  // produces (the sharded ctor refuses record_trace); the traced re-run is
-  // a one-off outside the sweep, so dropping to one machine thread is free.
-  mcfg.machine_threads = 1;
   bool ok = false;
   run_queue_workload(kind, mcfg, spec, [&](sim::Machine& m) {
     std::ofstream out(path);

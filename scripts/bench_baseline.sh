@@ -53,8 +53,6 @@ def sim_config():
                            src).group(1) == "true"
     faults = re.search(r"bool enabled\s*=\s*(true|false)",
                        src).group(1) == "true"
-    machine_threads = int(re.search(r"machine_threads\s*=\s*(\d+)",
-                                    src).group(1))
     # Warm-start cache defaults (docs/performance.md "Warm-start cache"):
     # the drivers' default cache mode and the blob schema version, read
     # from their sources of truth. The timed legs below pass
@@ -81,7 +79,6 @@ def sim_config():
             "inv_order": "canonical" if canonical else "legacy",
             "check_invariants": invariants,
             "fault_injection_default": faults,
-            "machine_threads": machine_threads,
             "snapshot_cache_default":
                 {"ReadWrite": "rw", "ReadOnly": "ro", "Off": "off"}
                 [cache_default],
@@ -139,29 +136,6 @@ def run_service_leg():
         samples.append(round(time.monotonic() - t0, 3))
     return {"args": " ".join(SERVICE_ARGS), "runs_s": samples,
             "best_s": min(samples)}
-
-# Sharded-machine headline: one 512-core fig5-style cell (2 sockets, 4
-# directory slices), serial vs --machine-threads 4. The serial leg passes
-# the same --dir-slices/--sockets flags so both legs simulate the *same*
-# machine — the wall-clock ratio isolates the parallel engine.
-SHARD_ARGS = ["--threads", "512", "--ops", "20", "--sockets", "2",
-              "--dir-slices", "4", "--repeats", "1", "--jobs", "1",
-              "--snapshot-cache=off"]
-
-def run_shard_sweep():
-    exe = os.path.join(build, "bench", "fig5_enqueue")
-    legs = {}
-    for name, extra in (("serial", []), ("mt4", ["--machine-threads", "4"])):
-        samples = []
-        for _ in range(runs):
-            t0 = time.monotonic()
-            run_checked([exe, *SHARD_ARGS, *extra])
-            samples.append(round(time.monotonic() - t0, 3))
-        legs[name] = {"args": " ".join(SHARD_ARGS + extra),
-                      "runs_s": samples, "best_s": min(samples)}
-    legs["speedup_mt4_vs_serial"] = round(
-        legs["serial"]["best_s"] / legs["mt4"]["best_s"], 2)
-    return legs
 
 # Contention-policy leg: the delay-sweep ablation's opt-in policy
 # dimension, adaptive-backoff vs the fixed default at the paper's optimal
@@ -259,7 +233,6 @@ report = {
     "snapshot_cache": run_cached_pair(),
     "policy_sweep": run_policy_sweep(),
     "service_latency": run_service_leg(),
-    "sharded_fig5_512c": run_shard_sweep(),
     "microbench": {
         "engine_microbench": run_micro(
             "engine_microbench", ["--ops", "200000", "--repeats", "2"]),

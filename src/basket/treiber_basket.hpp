@@ -77,9 +77,13 @@ class TreiberBasket {
     }
   }
 
-  bool empty() const {
-    return ptr(head_.load(std::memory_order_acquire)) == nullptr;
-  }
+  // True only once the basket is empty AND closed, i.e. no insert can
+  // succeed any more. An open basket that is momentarily empty is not
+  // empty: an enqueuer that lost the append race may still join it, so the
+  // queue's dequeue must not skip past it (it extracts instead, which
+  // closes the basket if it is still empty). The closed bit is only ever
+  // set on an empty list, so closed implies empty.
+  bool empty() const { return closed(); }
 
   void reset(int /*id*/) { head_.store(0, std::memory_order_relaxed); }
 

@@ -8,7 +8,6 @@
 // deterministic per-op think-time jitter avoids artificial lockstep.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 
@@ -44,27 +43,20 @@ struct SimRunResult {
 
 namespace detail {
 
-// Latency sums are kept as integer cycle counts in relaxed atomics so that
-// sharded runs (threads on different worker threads) accumulate without
-// races AND without order-dependence — integer addition commutes, unlike
-// floating-point. The totals stay far below 2^53, so the final
-// double(cycle_sum) equals the value the old sequential double
-// accumulation produced — serial artifacts stay byte-identical.
+// Latency sums are kept as integer cycle counts; the totals stay far below
+// 2^53, so the final double(cycle_sum) is exact.
 struct Accum {
-  std::atomic<std::uint64_t> enq_lat_cycles{0}, deq_lat_cycles{0};
-  std::atomic<std::uint64_t> enq{0}, deq{0};
+  std::uint64_t enq_lat_cycles = 0, deq_lat_cycles = 0;
+  std::uint64_t enq = 0, deq = 0;
 
-  double enq_lat() const {
-    return static_cast<double>(enq_lat_cycles.load(std::memory_order_relaxed));
+  // Mean latency per completed op, in cycles (0 when none completed).
+  double mean_enq_lat() const {
+    return enq ? static_cast<double>(enq_lat_cycles) / static_cast<double>(enq)
+               : 0;
   }
-  double deq_lat() const {
-    return static_cast<double>(deq_lat_cycles.load(std::memory_order_relaxed));
-  }
-  std::uint64_t enq_count() const {
-    return enq.load(std::memory_order_relaxed);
-  }
-  std::uint64_t deq_count() const {
-    return deq.load(std::memory_order_relaxed);
+  double mean_deq_lat() const {
+    return deq ? static_cast<double>(deq_lat_cycles) / static_cast<double>(deq)
+               : 0;
   }
 };
 
@@ -77,11 +69,11 @@ Task<void> producer_thread(Machine& m, QueueT& q, int core, int id,
   Core& c = m.core(core);
   co_await c.think(1 + rng.next_below(32));
   for (Value i = 0; i < ops; ++i) {
-    const Time start = c.now();  // slice-local clock: valid under sharding
+    const Time start = c.now();
     co_await q.enqueue(c, kFirstElement + (static_cast<Value>(id) << 32 | i),
                        id);
-    acc->enq_lat_cycles.fetch_add(c.now() - start, std::memory_order_relaxed);
-    acc->enq.fetch_add(1, std::memory_order_relaxed);
+    acc->enq_lat_cycles += c.now() - start;
+    ++acc->enq;
     co_await c.think(1 + rng.next_below(8));
   }
 }
@@ -98,8 +90,8 @@ Task<void> consumer_thread(Machine& m, QueueT& q, int core, int id, Value ops,
     const Time start = c.now();
     const Value e = co_await q.dequeue(c, id);
     if (e != 0) {
-      acc->deq_lat_cycles.fetch_add(c.now() - start, std::memory_order_relaxed);
-      acc->deq.fetch_add(1, std::memory_order_relaxed);
+      acc->deq_lat_cycles += c.now() - start;
+      ++acc->deq;
       ++got;
     } else {
       co_await c.think(64);  // transiently empty; back off briefly
@@ -170,9 +162,8 @@ SimRunResult run_producer_only(Machine& m, QueueT& q, int producers,
   }
   m.run();
   SimRunResult r;
-  r.enq_ops = acc->enq_count();
-  r.enq_latency_cycles =
-      r.enq_ops ? acc->enq_lat() / static_cast<double>(r.enq_ops) : 0;
+  r.enq_ops = acc->enq;
+  r.enq_latency_cycles = acc->mean_enq_lat();
   r.duration_cycles = static_cast<double>(m.now() - start);
   r.metrics = m.metrics();
   return r;
@@ -198,9 +189,8 @@ SimRunResult measure_consumer_only(Machine& m, QueueT& q, int consumers,
   }
   m.run();
   SimRunResult r;
-  r.deq_ops = acc->deq_count();
-  r.deq_latency_cycles =
-      r.deq_ops ? acc->deq_lat() / static_cast<double>(r.deq_ops) : 0;
+  r.deq_ops = acc->deq;
+  r.deq_latency_cycles = acc->mean_deq_lat();
   r.duration_cycles = static_cast<double>(m.now() - start);
   r.metrics = m.metrics();
   return r;
@@ -230,12 +220,10 @@ SimRunResult measure_mixed(Machine& m, QueueT& q, int producers, int consumers,
   }
   m.run();
   SimRunResult r;
-  r.enq_ops = acc->enq_count();
-  r.deq_ops = acc->deq_count();
-  r.enq_latency_cycles =
-      r.enq_ops ? acc->enq_lat() / static_cast<double>(r.enq_ops) : 0;
-  r.deq_latency_cycles =
-      r.deq_ops ? acc->deq_lat() / static_cast<double>(r.deq_ops) : 0;
+  r.enq_ops = acc->enq;
+  r.deq_ops = acc->deq;
+  r.enq_latency_cycles = acc->mean_enq_lat();
+  r.deq_latency_cycles = acc->mean_deq_lat();
   r.duration_cycles = static_cast<double>(m.now() - start);
   r.metrics = m.metrics();
   return r;

@@ -105,28 +105,32 @@ class CcQueue {
     cur->completed.store(false, std::memory_order_relaxed);
     cur->next.store(next_dummy, std::memory_order_release);
 
-    // Wait until either our request was combined or we hold the lock.
-    while (cur->locked.load(std::memory_order_acquire)) {
-      cpu_relax();
-      if (cur->completed.load(std::memory_order_acquire)) break;
-    }
-    if (cur->completed.load(std::memory_order_acquire)) {
+    // Wait until the lock holder releases `cur`: either it combined our
+    // request (completed) or it handed us the combiner role. `locked` is the
+    // combiner's last write to a served record, so once it reads false the
+    // record is ours again — waking on `completed` alone would let us
+    // recycle `cur` while the combiner still writes to it.
+    while (cur->locked.load(std::memory_order_acquire)) cpu_relax();
+    if (cur->completed.load(std::memory_order_relaxed)) {
       // Someone combined us; reuse `cur` as our spare next time.
       T* result = cur->result;
       mine.spare = cur;
       return result;
     }
 
-    // We are the combiner. Serve the list, then pass the lock on.
+    // We are the combiner. Serve the list, then pass the lock on. Read
+    // `next` before releasing a record: the moment `locked` drops, its owner
+    // may return and reset the record as its next dummy (CC-Synch).
     Record* node = cur;
     std::size_t helped = 0;
-    while (node->next.load(std::memory_order_acquire) != nullptr &&
-           helped < kHelpBound) {
+    for (Record* next = node->next.load(std::memory_order_acquire);
+         next != nullptr && helped < kHelpBound;
+         next = node->next.load(std::memory_order_acquire)) {
       execute(node);
-      node->completed.store(true, std::memory_order_release);
+      node->completed.store(true, std::memory_order_relaxed);
       node->locked.store(false, std::memory_order_release);
       ++helped;
-      node = node->next.load(std::memory_order_acquire);
+      node = next;
     }
     // `node` is the new dummy/lock holder.
     node->locked.store(false, std::memory_order_release);

@@ -35,8 +35,7 @@
 
 namespace sbq::replay {
 
-// Host-side single-threaded op log (recording requires the serial engine's
-// single global event order; callers force machine_threads = 1).
+// Host-side op log, appended in the simulator's global event order.
 struct SimOpLog {
   std::vector<OpRecord> records;
 };
@@ -61,8 +60,8 @@ Task<void> recording_producer(Machine& m, QueueT& q, int core, int id,
     const Value v = simq::kFirstElement + (static_cast<Value>(id) << 32 | i);
     const Time start = c.now();
     co_await q.enqueue(c, v, id);
-    acc->enq_lat_cycles.fetch_add(c.now() - start, std::memory_order_relaxed);
-    acc->enq.fetch_add(1, std::memory_order_relaxed);
+    acc->enq_lat_cycles += c.now() - start;
+    ++acc->enq;
     log->records.push_back({log_thread, kOpEnqueue, v, start, c.now(), 1});
     co_await c.think(1 + rng.next_below(8));
   }
@@ -84,8 +83,8 @@ Task<void> recording_consumer(Machine& m, QueueT& q, int core, int id,
     const Value e = co_await q.dequeue(c, id);
     log->records.push_back({log_thread, kOpDequeue, 0, start, c.now(), e});
     if (e != 0) {
-      acc->deq_lat_cycles.fetch_add(c.now() - start, std::memory_order_relaxed);
-      acc->deq.fetch_add(1, std::memory_order_relaxed);
+      acc->deq_lat_cycles += c.now() - start;
+      ++acc->deq;
       ++got;
     } else {
       co_await c.think(64);  // transiently empty; back off briefly
@@ -108,8 +107,8 @@ Task<void> replay_producer(Machine& m, QueueT& q, int core, int id,
     const Value v = (*values)[i];
     const Time start = c.now();
     co_await q.enqueue(c, v, id);
-    acc->enq_lat_cycles.fetch_add(c.now() - start, std::memory_order_relaxed);
-    acc->enq.fetch_add(1, std::memory_order_relaxed);
+    acc->enq_lat_cycles += c.now() - start;
+    ++acc->enq;
     if (log != nullptr) {
       log->records.push_back({log_thread, kOpEnqueue, v, start, c.now(), 1});
     }
@@ -137,8 +136,8 @@ Task<void> replay_consumer(Machine& m, QueueT& q, int core, int id,
       log->records.push_back({log_thread, kOpDequeue, 0, start, c.now(), e});
     }
     if (e != 0) {
-      acc->deq_lat_cycles.fetch_add(c.now() - start, std::memory_order_relaxed);
-      acc->deq.fetch_add(1, std::memory_order_relaxed);
+      acc->deq_lat_cycles += c.now() - start;
+      ++acc->deq;
       if (e != (*expected)[static_cast<std::size_t>(got)]) ++*mismatches;
       ++got;
     } else {
@@ -166,9 +165,8 @@ Task<void> replay_native_thread(Machine& m, QueueT& q, int core, int enq_id,
     const Time start = c.now();
     if (rec.op == kOpEnqueue) {
       co_await q.enqueue(c, rec.value, enq_id);
-      acc->enq_lat_cycles.fetch_add(c.now() - start,
-                                    std::memory_order_relaxed);
-      acc->enq.fetch_add(1, std::memory_order_relaxed);
+      acc->enq_lat_cycles += c.now() - start;
+      ++acc->enq;
       if (log != nullptr) {
         log->records.push_back(
             {log_thread, kOpEnqueue, rec.value, start, c.now(), 1});
@@ -176,9 +174,8 @@ Task<void> replay_native_thread(Machine& m, QueueT& q, int core, int enq_id,
     } else {
       const Value e = co_await q.dequeue(c, deq_id);
       if (e != 0) {
-        acc->deq_lat_cycles.fetch_add(c.now() - start,
-                                      std::memory_order_relaxed);
-        acc->deq.fetch_add(1, std::memory_order_relaxed);
+        acc->deq_lat_cycles += c.now() - start;
+        ++acc->deq;
       }
       if (log != nullptr) {
         log->records.push_back({log_thread, kOpDequeue, 0, start, c.now(), e});
@@ -211,8 +208,7 @@ inline simq::Value trace_prefill_per_producer(const OpTrace& t) {
 
 // Runs the workload described by `trace`'s header on (m, q), recording
 // every op (prefill included) into trace.records. The caller fills the
-// header fields and owns machine/queue construction; `m` must be serial
-// (machine_threads == 1). Returns the measured-phase result, which is
+// header fields and owns machine/queue construction. Returns the measured-phase result, which is
 // byte-identical to the same spec run unrecorded.
 template <typename QueueT>
 simq::SimRunResult run_recorded_workload(simq::Machine& m, QueueT& q,
@@ -263,12 +259,10 @@ simq::SimRunResult run_recorded_workload(simq::Machine& m, QueueT& q,
   m.run();
 
   simq::SimRunResult r;
-  r.enq_ops = acc->enq_count();
-  r.deq_ops = acc->deq_count();
-  r.enq_latency_cycles =
-      r.enq_ops ? acc->enq_lat() / static_cast<double>(r.enq_ops) : 0;
-  r.deq_latency_cycles =
-      r.deq_ops ? acc->deq_lat() / static_cast<double>(r.deq_ops) : 0;
+  r.enq_ops = acc->enq;
+  r.deq_ops = acc->deq;
+  r.enq_latency_cycles = acc->mean_enq_lat();
+  r.deq_latency_cycles = acc->mean_deq_lat();
   r.duration_cycles = static_cast<double>(m.now() - start);
   r.metrics = m.metrics();
   trace.records = std::move(log.records);
@@ -288,7 +282,7 @@ struct ReplayOutcome {
 
 // Feeds `trace` back into (m, q): per-thread op sequences are pinned from
 // the records while think/rng streams regenerate from the header. `m` must
-// be serial and have enough cores for the trace's thread placement.
+// have enough cores for the trace's thread placement.
 template <typename QueueT>
 ReplayOutcome replay_trace(simq::Machine& m, QueueT& q, const OpTrace& trace,
                            int consumer_id_offset) {
@@ -323,8 +317,8 @@ ReplayOutcome replay_trace(simq::Machine& m, QueueT& q, const OpTrace& trace,
               t);
     }
     m.run();
-    out.run.enq_ops = acc->enq_count();
-    out.run.deq_ops = acc->deq_count();
+    out.run.enq_ops = acc->enq;
+    out.run.deq_ops = acc->deq;
     out.run.duration_cycles = static_cast<double>(m.now() - start);
     out.run.metrics = m.metrics();
     out.observed = std::move(log.records);
@@ -397,14 +391,10 @@ ReplayOutcome replay_trace(simq::Machine& m, QueueT& q, const OpTrace& trace,
   }
   m.run();
 
-  out.run.enq_ops = acc->enq_count();
-  out.run.deq_ops = acc->deq_count();
-  out.run.enq_latency_cycles =
-      out.run.enq_ops ? acc->enq_lat() / static_cast<double>(out.run.enq_ops)
-                      : 0;
-  out.run.deq_latency_cycles =
-      out.run.deq_ops ? acc->deq_lat() / static_cast<double>(out.run.deq_ops)
-                      : 0;
+  out.run.enq_ops = acc->enq;
+  out.run.deq_ops = acc->deq;
+  out.run.enq_latency_cycles = acc->mean_enq_lat();
+  out.run.deq_latency_cycles = acc->mean_deq_lat();
   out.run.duration_cycles = static_cast<double>(m.now() - start);
   out.run.metrics = m.metrics();
   out.observed = std::move(log.records);

@@ -21,10 +21,6 @@
 // sojourn     = deq done - arrival (the end-to-end number p50/p99/p999 are
 // reported on). Samples land in preallocated LatencyRings (no allocation
 // inside the measured phase).
-//
-// Serial-engine only: the broker's host-side gate/accounting state is read
-// mid-run, which is only deterministic under the single global event order
-// of the serial engine — run_service throws on a sharded machine.
 #pragma once
 
 #include <cstdint>
@@ -79,7 +75,7 @@ struct ServiceResult {
 namespace detail {
 
 // Host-side state shared by the workers of one run. Plain (non-atomic)
-// members: serial engine only, one host thread.
+// members: the simulator runs every coroutine on one host thread.
 struct BrokerState {
   explicit BrokerState(const ServiceSpec& spec,
                        std::vector<sim::Time> arrival_times)
@@ -174,11 +170,6 @@ ServiceResult run_service(sim::Machine& m, QueueT& q, const ServiceSpec& spec,
   }
   if (m.core_count() < spec.producers + spec.consumers) {
     throw std::invalid_argument("machine too small for the service spec");
-  }
-  if (m.core(0).sharded()) {
-    throw std::invalid_argument(
-        "run_service requires the serial engine (machine_threads == 1): "
-        "admission decisions read host state mid-run");
   }
   auto st = std::make_unique<detail::BrokerState>(
       spec, generate_arrivals(spec.arrival, spec.total_ops));

@@ -325,7 +325,6 @@ void encode_config(Writer& w, const MachineConfig& cfg) {
   }
   w.b(cfg.check_invariants);
   w.u64(static_cast<std::uint64_t>(cfg.dir_slices));
-  w.u64(static_cast<std::uint64_t>(cfg.machine_threads));
   w.b(cfg.alloc_arenas);
   w.u64(cfg.prewarm_frames);
   w.u64(cfg.prewarm_event_nodes);
@@ -380,7 +379,7 @@ bool decode_config(Reader& r, MachineConfig& cfg) {
     shot.kind = static_cast<FaultKind>(kind);
   }
   if (!(r.b(cfg.check_invariants) && r.i(cfg.dir_slices) &&
-        r.i(cfg.machine_threads) && r.b(cfg.alloc_arenas))) {
+        r.b(cfg.alloc_arenas))) {
     return false;
   }
   std::uint64_t frames, nodes;
@@ -558,8 +557,7 @@ bool decode_net(Reader& r, Interconnect::State& s) {
 }  // namespace
 
 bool snapshot_cacheable(const MachineConfig& cfg) noexcept {
-  return cfg.canonical_inv_order && !cfg.record_trace &&
-         cfg.machine_threads <= 1;
+  return cfg.canonical_inv_order && !cfg.record_trace;
 }
 
 std::uint64_t machine_config_digest(const MachineConfig& cfg) {

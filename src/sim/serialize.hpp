@@ -28,13 +28,12 @@ namespace sbq::sim {
 // captures (new MachineConfig fields, State-struct layout changes, …).
 // Stale-version blobs are rejected at decode and garbage-collected by
 // scripts/snapshot_cache.sh --prune.
-inline constexpr std::uint32_t kSnapshotSchemaVersion = 3;
+inline constexpr std::uint32_t kSnapshotSchemaVersion = 4;
 
 // True when a machine built from `cfg` produces snapshots this module can
-// round-trip: serial (sharded machines refuse to snapshot anyway), no trace
-// ring (debug state, deliberately not captured), canonical Inv order (the
-// legacy bucket-chain side tables embed libstdc++ internals and are a
-// diffing tool, not a schedule worth persisting).
+// round-trip: no trace ring (debug state, deliberately not captured),
+// canonical Inv order (the legacy bucket-chain side tables embed libstdc++
+// internals and are a diffing tool, not a schedule worth persisting).
 bool snapshot_cacheable(const MachineConfig& cfg) noexcept;
 
 // FNV-1a64 digest of `cfg`'s canonical encoding — the MachineConfig

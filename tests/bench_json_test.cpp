@@ -110,45 +110,24 @@ TEST(MetricsJson, SnapshotSchema) {
             static_cast<std::size_t>(sim::HtmCounters::kRetryBuckets));
 }
 
-TEST(MetricsJson, ParallelAndBackpressureBlocks) {
-  // Default (serial, no caps) snapshots must NOT serialize the blocks —
-  // that's what keeps the golden artifacts byte-identical.
-  sim::MetricsSnapshot serial;
-  const Json js = metrics_to_json(serial);
-  EXPECT_FALSE(js.contains("parallel"));
+TEST(MetricsJson, BackpressureBlock) {
+  // Default (no caps) snapshots must NOT serialize the block — that's what
+  // keeps the golden artifacts byte-identical.
+  sim::MetricsSnapshot plain;
+  const Json js = metrics_to_json(plain);
   EXPECT_FALSE(js.contains("backpressure"));
 
   sim::MetricsSnapshot snap;
-  snap.machine_threads = 4;
-  snap.per_slice_events = {10, 20, 30, 40};
   snap.backpressure = true;
   snap.link_bp_stalls = 5;
   snap.link_queue_peak = 7;
   snap.dir_bp_stalls = 2;
   snap.dir_queue_peak = 3;
   const Json j = metrics_to_json(snap);
-  EXPECT_EQ(j["parallel"]["machine_threads"].as_int(), 4);
-  ASSERT_EQ(j["parallel"]["per_slice_events"].size(), 4u);
-  EXPECT_EQ(j["parallel"]["per_slice_events"].at(2).as_int(), 30);
   EXPECT_EQ(j["backpressure"]["link_bp_stalls"].as_int(), 5);
   EXPECT_EQ(j["backpressure"]["link_queue_peak"].as_int(), 7);
   EXPECT_EQ(j["backpressure"]["dir_bp_stalls"].as_int(), 2);
   EXPECT_EQ(j["backpressure"]["dir_queue_peak"].as_int(), 3);
-}
-
-TEST(BenchReport, SweepConfigRecordsMachineThreads) {
-  // machine_threads lands in the sweep config only when sharding is on —
-  // default artifacts stay byte-identical.
-  BenchOptions opts;
-  {
-    BenchReport report("serial_sweep");
-    report.set_sweep_config(opts, {1}, 10, 1);
-    EXPECT_FALSE(report.root()["config"].contains("machine_threads"));
-  }
-  opts.machine_threads = 4;
-  BenchReport report("sharded_sweep");
-  report.set_sweep_config(opts, {1}, 10, 1);
-  EXPECT_EQ(report.root()["config"]["machine_threads"].as_int(), 4);
 }
 
 TEST(BenchReport, WriteAndReparseTinySweep) {

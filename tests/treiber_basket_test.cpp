@@ -49,11 +49,17 @@ TEST(TreiberBasket, EmptinessIndicationStable) {
 }
 
 TEST(TreiberBasket, EmptyPredicate) {
+  // empty() means "empty and closed": an open basket with nothing in it can
+  // still take an insert, so it must not report empty.
   TreiberBasket<int> b(2);
-  EXPECT_TRUE(b.empty());
+  EXPECT_FALSE(b.empty());
   int x = 1;
   EXPECT_TRUE(b.insert(&x, 0));
   EXPECT_FALSE(b.empty());
+  EXPECT_EQ(b.extract(0), &x);
+  EXPECT_FALSE(b.empty());  // momentarily empty, still open
+  EXPECT_EQ(b.extract(0), nullptr);  // indicates empty, closes
+  EXPECT_TRUE(b.empty());
 }
 
 TEST(TreiberBasket, ResetReopens) {
