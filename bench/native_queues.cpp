@@ -134,6 +134,27 @@ int record_ops_main(const char* prefix, int threads, int pairs,
   return 0;
 }
 
+// The SBQ delays are given in nanoseconds and spun as relax counts timed
+// once per process (common/backoff.hpp); record what this run got.
+void record_delay_calibration() {
+  const auto fmt = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.2f", v);
+    return std::string(buf);
+  };
+  const double relax = sbq::relax_ns();
+  benchmark::AddCustomContext("pause_ns", fmt(relax));
+  const sbq::TxCasConfig tx{};
+  const auto add_delay = [&](const std::string& name, std::uint64_t ns,
+                             std::uint32_t spins) {
+    benchmark::AddCustomContext(name + "_target_ns", std::to_string(ns));
+    benchmark::AddCustomContext(name + "_spins", std::to_string(spins));
+    benchmark::AddCustomContext(name + "_ns", fmt(spins * relax));
+  };
+  add_delay("intra_txn_delay", sbq::kIntraTxnDelayNs, tx.intra_txn_delay);
+  add_delay("post_abort_delay", sbq::kPostAbortDelayNs, tx.post_abort_delay);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -158,6 +179,7 @@ int main(int argc, char** argv) {
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  record_delay_calibration();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

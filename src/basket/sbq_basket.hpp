@@ -21,9 +21,9 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
+#include <new>
 
+#include "basket/basket.hpp"
 #include "common/cacheline.hpp"
 #include "common/padded.hpp"
 
@@ -31,19 +31,36 @@ namespace sbq {
 
 template <typename T>
 class SbqBasket {
+  using Cell = Padded<std::atomic<void*>>;
+
  public:
+  static constexpr std::size_t storage_bytes(std::size_t capacity) noexcept {
+    return capacity * sizeof(Cell);
+  }
+
   // `capacity` is the number of inserters (B in the paper). `live_inserters`
   // bounds the extract scan; the paper's benchmarks fix capacity at 44 but
-  // scan only the number of enqueuers in the experiment.
-  explicit SbqBasket(std::size_t capacity, std::size_t live_inserters = 0)
+  // scan only the number of enqueuers in the experiment. The cells are
+  // placed in `storage` (basket.hpp, "Storage").
+  SbqBasket(void* storage, std::size_t capacity, std::size_t live_inserters)
       : capacity_(capacity),
         live_(live_inserters == 0 ? capacity : live_inserters),
-        cells_(std::make_unique<Padded<std::atomic<void*>>[]>(capacity)) {
+        cells_(static_cast<Cell*>(storage)) {
     assert(live_ <= capacity_);
     for (std::size_t i = 0; i < capacity_; ++i) {
+      new (&cells_[i]) Cell;
       cells_[i].value.store(kInsert, std::memory_order_relaxed);
     }
   }
+
+  // A standalone basket that owns its cells.
+  explicit SbqBasket(std::size_t capacity, std::size_t live_inserters = 0)
+      : SbqBasket(allocate_basket_storage(storage_bytes(capacity)), capacity,
+                  live_inserters) {
+    owned_ = cells_;
+  }
+
+  ~SbqBasket() { release_basket_storage(owned_); }
 
   SbqBasket(const SbqBasket&) = delete;
   SbqBasket& operator=(const SbqBasket&) = delete;
@@ -100,7 +117,8 @@ class SbqBasket {
 
   const std::size_t capacity_;
   const std::size_t live_;
-  std::unique_ptr<Padded<std::atomic<void*>>[]> cells_;
+  Cell* const cells_;
+  void* owned_ = nullptr;  // cells_ when standalone
   alignas(kCacheLineSize) std::atomic<std::uint64_t> counter_{0};
   alignas(kCacheLineSize) std::atomic<bool> empty_{false};
 };

@@ -24,8 +24,9 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <new>
 
+#include "basket/basket.hpp"
 #include "common/cacheline.hpp"
 #include "common/padded.hpp"
 
@@ -33,20 +34,34 @@ namespace sbq {
 
 template <typename T, std::size_t kStripes = 4>
 class StripedBasket {
+  using Cell = Padded<std::atomic<void*>>;
+
  public:
-  explicit StripedBasket(std::size_t capacity, std::size_t live_inserters = 0)
+  static constexpr std::size_t storage_bytes(std::size_t capacity) noexcept {
+    return capacity * sizeof(Cell);
+  }
+
+  // Cells are placed in `storage` (basket.hpp, "Storage").
+  StripedBasket(void* storage, std::size_t capacity,
+                std::size_t live_inserters)
       : capacity_(capacity),
         live_(live_inserters == 0 ? capacity : live_inserters),
-        cells_(std::make_unique<Padded<std::atomic<void*>>[]>(capacity)),
-        counters_(std::make_unique<Padded<std::atomic<std::uint64_t>>[]>(kStripes)) {
+        cells_(static_cast<Cell*>(storage)) {
     assert(live_ <= capacity_);
     for (std::size_t i = 0; i < capacity_; ++i) {
+      new (&cells_[i]) Cell;
       cells_[i].value.store(kInsert, std::memory_order_relaxed);
     }
-    for (std::size_t s = 0; s < kStripes; ++s) {
-      counters_[s].value.store(0, std::memory_order_relaxed);
-    }
   }
+
+  // A standalone basket that owns its cells.
+  explicit StripedBasket(std::size_t capacity, std::size_t live_inserters = 0)
+      : StripedBasket(allocate_basket_storage(storage_bytes(capacity)),
+                      capacity, live_inserters) {
+    owned_ = cells_;
+  }
+
+  ~StripedBasket() { release_basket_storage(owned_); }
 
   StripedBasket(const StripedBasket&) = delete;
   StripedBasket& operator=(const StripedBasket&) = delete;
@@ -123,8 +138,9 @@ class StripedBasket {
 
   const std::size_t capacity_;
   const std::size_t live_;
-  std::unique_ptr<Padded<std::atomic<void*>>[]> cells_;
-  std::unique_ptr<Padded<std::atomic<std::uint64_t>>[]> counters_;
+  Cell* const cells_;
+  void* owned_ = nullptr;  // cells_ when standalone
+  Padded<std::atomic<std::uint64_t>> counters_[kStripes];
   alignas(kCacheLineSize) std::atomic<std::size_t> drained_{0};
   alignas(kCacheLineSize) std::atomic<bool> empty_{false};
 };

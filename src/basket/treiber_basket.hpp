@@ -15,7 +15,10 @@
 
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+
+#include "basket/basket.hpp"
 
 namespace sbq {
 
@@ -27,15 +30,27 @@ class TreiberBasket {
     Cell* next;
   };
 
+  static constexpr std::size_t storage_bytes(std::size_t capacity) noexcept {
+    return capacity * sizeof(Cell);
+  }
+
   // Cells are owned by the inserting thread and recycled with the node; we
-  // keep one embedded cell per inserter slot inside the basket so that
-  // insert is allocation-free. `capacity` = number of inserters.
-  explicit TreiberBasket(std::size_t capacity, std::size_t /*live*/ = 0)
-      : capacity_(capacity), cells_(new Cell[capacity]) {}
+  // keep one cell per inserter slot in the basket's storage (basket.hpp,
+  // "Storage") so that insert is allocation-free. `capacity` = number of
+  // inserters.
+  TreiberBasket(void* storage, std::size_t capacity, std::size_t /*live*/)
+      : capacity_(capacity), cells_(static_cast<Cell*>(storage)) {}
+
+  // A standalone basket that owns its cells.
+  explicit TreiberBasket(std::size_t capacity, std::size_t live = 0)
+      : TreiberBasket(allocate_basket_storage(storage_bytes(capacity)),
+                      capacity, live) {
+    owned_ = cells_;
+  }
 
   TreiberBasket(const TreiberBasket&) = delete;
   TreiberBasket& operator=(const TreiberBasket&) = delete;
-  ~TreiberBasket() { delete[] cells_; }
+  ~TreiberBasket() { release_basket_storage(owned_); }
 
   bool insert(T* element, int id) {
     assert(id >= 0 && static_cast<std::size_t>(id) < capacity_);
@@ -103,7 +118,8 @@ class TreiberBasket {
   static bool is_closed(std::uintptr_t v) noexcept { return (v & kClosedBit) != 0; }
 
   const std::size_t capacity_;
-  Cell* cells_;
+  Cell* const cells_;
+  void* owned_ = nullptr;  // cells_ when standalone
   std::atomic<std::uintptr_t> head_{0};
 };
 

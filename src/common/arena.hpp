@@ -7,6 +7,10 @@
 // state. Cross-thread frees (a dequeuer freeing an enqueuer's node) go to
 // the *owning* thread's lock-free remote freelist, exactly like classic
 // slab "remote free" designs.
+//
+// Under AddressSanitizer a freed block is poisoned (all but its freelist
+// link word) until it is allocated again, so a use after a recycle is
+// reported as one even though the memory never goes back to malloc.
 #pragma once
 
 #include <atomic>
@@ -15,6 +19,10 @@
 #include <memory>
 #include <new>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "common/cacheline.hpp"
 
@@ -44,12 +52,12 @@ class Arena {
     if (local_free_ != nullptr) {
       void* p = local_free_;
       local_free_ = *static_cast<void**>(p);
-      return p;
+      return unpoison(p);
     }
     // 2. Drain remote frees (other threads returning our blocks).
     if (void* head = remote_free_.exchange(nullptr, std::memory_order_acquire)) {
       local_free_ = *static_cast<void**>(head);
-      return head;
+      return unpoison(head);
     }
     // 3. Bump-allocate from the current slab.
     if (bump_ == slab_end_) new_slab();
@@ -60,12 +68,14 @@ class Arena {
 
   // Free from the owning thread.
   void deallocate_local(void* p) noexcept {
+    poison(p);
     *static_cast<void**>(p) = local_free_;
     local_free_ = p;
   }
 
   // Free from any thread (lock-free Treiber push onto the remote list).
   void deallocate_remote(void* p) noexcept {
+    poison(p);
     void* head = remote_free_.load(std::memory_order_relaxed);
     do {
       *static_cast<void**>(p) = head;
@@ -79,6 +89,22 @@ class Arena {
  private:
   static std::size_t round_up(std::size_t v, std::size_t a) noexcept {
     return (v + a - 1) / a * a;
+  }
+
+  // A free block keeps only its link word addressable.
+  void poison(void* p) const noexcept {
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_POISON_MEMORY_REGION(static_cast<void**>(p) + 1,
+                              block_size_ - sizeof(void*));
+#else
+    (void)p;
+#endif
+  }
+  void* unpoison(void* p) const noexcept {
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_UNPOISON_MEMORY_REGION(p, block_size_);
+#endif
+    return p;
   }
 
   void new_slab() {

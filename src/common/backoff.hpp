@@ -3,9 +3,14 @@
 // TxCAS (§4.1 of the paper) requires a *timed* intra-transaction delay
 // (~270 ns on the authors' Broadwell) and a short post-abort delay (§4.2).
 // Inside a hardware transaction one cannot call clock functions (they may
-// abort the transaction), so the delay must be a calibrated spin loop.
+// abort the transaction), so the delay must be a spin loop: a delay given
+// in nanoseconds is turned into a relax count once per process, outside any
+// transaction, by timing the relax hint against the steady clock.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdint>
 
 #include "common/rng.hpp"
@@ -31,6 +36,37 @@ inline void cpu_relax() noexcept {
 // no memory and makes no calls that could abort an HTM transaction.
 inline void spin_iterations(std::uint32_t iters) noexcept {
   for (std::uint32_t i = 0; i < iters; ++i) cpu_relax();
+}
+
+// Nanoseconds one cpu_relax() takes on the running CPU. Measured on first use
+// (about half a millisecond) and then fixed for the process: the median of
+// seven timed runs of 4096 relaxes. The median, not the fastest run: a
+// relax's cost drifts by ±15% from run to run on a VM, and a preempted run
+// is an outlier either way.
+inline double relax_ns() noexcept {
+  static const double ns = [] {
+    using Clock = std::chrono::steady_clock;
+    constexpr std::uint32_t kIters = 4096;
+    constexpr int kRuns = 7;
+    double per[kRuns];
+    for (double& p : per) {
+      const auto t0 = Clock::now();
+      spin_iterations(kIters);
+      p = std::chrono::duration<double, std::nano>(Clock::now() - t0).count() /
+          kIters;
+    }
+    std::nth_element(per, per + kRuns / 2, per + kRuns);
+    return std::max(per[kRuns / 2], 0.01);
+  }();
+  return ns;
+}
+
+// Relax iterations that spin for about `ns` nanoseconds (at least one for a
+// nonzero delay).
+inline std::uint32_t spins_for_ns(std::uint64_t ns) noexcept {
+  if (ns == 0) return 0;
+  const double spins = std::round(static_cast<double>(ns) / relax_ns());
+  return static_cast<std::uint32_t>(std::clamp(spins, 1.0, 4294967295.0));
 }
 
 // Bounded exponential delay ladder: base << level, saturating at cap.

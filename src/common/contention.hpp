@@ -79,6 +79,13 @@ inline bool contention_policy_from_name(const char* name,
   return false;
 }
 
+// The paper's fixed delays, shared by both backends: the intra-transaction
+// delay of §4.1 (~270 ns on the authors' Broadwell, also SBQ-CAS's delay in
+// §6.1) and the post-abort delay of §4.2. The native backend turns them
+// into spin counts (spins_for_ns), the sim into cycles (sim::cycles_from_ns).
+inline constexpr std::uint64_t kIntraTxnDelayNs = 270;
+inline constexpr std::uint64_t kPostAbortDelayNs = 52;
+
 // Graceful-degradation default shared by both backends: after this many
 // non-conflict aborts in one TxCAS call, give up on HTM and take the
 // plain-CAS path (counted separately as `fallback_cas`). The sim uses this

@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "common/backoff.hpp"
+#include "common/contention.hpp"
 #include "htm/txcas.hpp"
 
 namespace sbq {
@@ -33,9 +34,10 @@ struct NativeCas {
 // SBQ-CAS from §6.1: plain CAS preceded by the same delay TxCAS performs
 // between its read and write. The delay widens the window in which multiple
 // enqueuers observe the same tail, which grows the baskets and is why
-// SBQ-CAS tracks SBQ-HTM at low concurrency (Figure 5).
+// SBQ-CAS tracks SBQ-HTM at low concurrency (Figure 5). The default is the
+// paper's 270 ns in spins, as for TxCasConfig::intra_txn_delay.
 struct DelayedCas {
-  std::uint32_t delay_iterations = 64;
+  std::uint32_t delay_iterations = spins_for_ns(kIntraTxnDelayNs);
 
   template <typename T>
   bool operator()(std::atomic<T>& target, T expected, T desired) const noexcept {
@@ -47,7 +49,9 @@ struct DelayedCas {
   }
 };
 
-// TxCAS policy wrapper (degrades to a delayed plain CAS without RTM).
+// TxCAS policy wrapper. Without RTM each call is max_attempts futile
+// begin() calls and then an undelayed plain CAS (see htm/txcas.hpp), not a
+// DelayedCas.
 // The embedded TxCasConfig carries the full retry/fallback policy,
 // including max_nonconflict_aborts — set it to make the queue's appends
 // degrade to plain CAS under persistent capacity/interrupt aborts instead

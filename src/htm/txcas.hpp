@@ -19,9 +19,11 @@
 //   * conflict inside the nested txn -> post-abort delay, then re-read the
 //     target; if it changed, fail; else retry.
 //
-// On hosts without RTM, htm::begin() always reports a non-conflict abort,
-// so attempts fall straight through to the bounded-retry fallback, making
-// TxCas semantically a (delayed) plain CAS — the paper's SBQ-CAS variant.
+// On hosts without RTM, htm::begin() always reports a non-conflict abort.
+// The intra-transaction delay runs inside the transaction, so it never
+// runs there: a call makes max_attempts futile begin() calls and then an
+// *undelayed* plain CAS. That is not SBQ-CAS (DelayedCas), whose delay
+// precedes the CAS; docs/performance.md ("Native SBQ") has the numbers.
 #pragma once
 
 #include <atomic>
@@ -35,11 +37,13 @@ namespace sbq {
 
 struct TxCasConfig {
   // Intra-transaction delay between the read and the write, in spin
-  // iterations (§4.1; ~270 ns on the paper's Broadwell).
-  std::uint32_t intra_txn_delay = 64;
-  // Post-abort delay before re-reading the target (§4.2): long enough for
-  // an in-flight writer's GetM to complete so that our read does not trip it.
-  std::uint32_t post_abort_delay = 16;
+  // iterations (§4.1). Defaults to the paper's 270 ns, converted to spins
+  // by the one-time calibration in common/backoff.hpp.
+  std::uint32_t intra_txn_delay = spins_for_ns(kIntraTxnDelayNs);
+  // Post-abort delay before re-reading the target (§4.2), in spin
+  // iterations (default 52 ns, converted the same way): long enough for an
+  // in-flight writer's GetM to complete so that our read does not trip it.
+  std::uint32_t post_abort_delay = spins_for_ns(kPostAbortDelayNs);
   // After this many transactional attempts, fall back to plain CAS. This is
   // what makes TxCAS wait-free despite HTM offering no progress guarantee.
   std::uint32_t max_attempts = 32;

@@ -13,15 +13,26 @@
 // dequeue (Algorithm 5): walk from head to the first non-empty basket and
 // extract. advance_node (Algorithm 6) monotonically advances head/tail by
 // node index. Reclamation is the index-based scheme of Algorithm 7.
+//
+// Memory. Each enqueuer owns an Arena (common/arena.hpp, standing in for
+// the paper's Memkind allocator), and each node is one block of its
+// enqueuer's arena: the node header, then the basket's per-inserter cells.
+// Reclamation returns a node to its owner arena from whichever thread
+// frees it. Arenas grow in slabs of kSlabBytes and never shrink: their
+// memory is only returned when the queue is destroyed, which releases
+// every slab at once.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "basket/basket.hpp"
+#include "common/arena.hpp"
 #include "common/cacheline.hpp"
 #include "htm/cas_policy.hpp"
 #include "reclaim/retired_list.hpp"
@@ -33,13 +44,25 @@ enum class AppendResult { kSuccess, kFailure, kBadTail };
 template <typename T, typename BasketT, typename CasPolicyT>
 class Queue {
  public:
+  // A node owns nothing outside its arena block, so it is never destroyed:
+  // reclamation hands the block straight back to `owner`.
   struct Node {
-    Node(std::size_t basket_capacity, std::size_t live_inserters)
-        : basket(basket_capacity, live_inserters) {}
+    Node(Arena* owner_arena, std::size_t basket_capacity,
+         std::size_t live_inserters)
+        : basket(reinterpret_cast<std::byte*>(this) + cells_offset(),
+                 basket_capacity, live_inserters),
+          owner(owner_arena) {}
+
+    // The basket's cells start at the first cache line after the header.
+    static constexpr std::size_t cells_offset() noexcept {
+      return (sizeof(Node) + kBasketStorageAlign - 1) / kBasketStorageAlign *
+             kBasketStorageAlign;
+    }
 
     BasketT basket;
     std::atomic<Node*> next{nullptr};
     std::uint64_t index = 0;
+    Arena* const owner;
   };
 
   struct Config {
@@ -51,12 +74,14 @@ class Queue {
     CasPolicyT cas{};
   };
 
+  // Bytes of each arena slab (rounded down to whole nodes, at least one).
+  static constexpr std::size_t kSlabBytes = 64 * 1024;
+
   explicit Queue(Config cfg)
       : cfg_(cfg),
         live_(cfg.live_enqueuers == 0 ? cfg.max_enqueuers : cfg.live_enqueuers),
-        sentinel_(new Node(cfg.max_enqueuers,
-                           cfg.live_enqueuers == 0 ? cfg.max_enqueuers
-                                                   : cfg.live_enqueuers)),
+        arenas_(make_arenas(cfg.max_enqueuers)),
+        sentinel_(make_node(0)),
         reclaimer_(sentinel_, cfg.max_enqueuers + cfg.max_dequeuers),
         reusable_(cfg.max_enqueuers, nullptr) {
     head_.store(sentinel_, std::memory_order_relaxed);
@@ -65,13 +90,6 @@ class Queue {
 
   Queue(const Queue&) = delete;
   Queue& operator=(const Queue&) = delete;
-
-  ~Queue() {
-    // Single-threaded teardown: free the whole list (retired prefix plus
-    // the live portion — they form one chain starting at `retired`).
-    reclaimer_.drain_all();
-    for (Node* n : reusable_) delete n;
-  }
 
   // Algorithm 3. `id` is the enqueuer id in [0, max_enqueuers).
   void enqueue(T* element, int id) {
@@ -147,7 +165,7 @@ class Queue {
 
  private:
   struct NodeDeleter {
-    void operator()(Node* n) const { delete n; }
+    void operator()(Node* n) const noexcept { n->owner->deallocate_remote(n); }
   };
   using Reclaimer = RetiredList<Node, NodeDeleter>;
 
@@ -156,7 +174,26 @@ class Queue {
     return static_cast<int>(cfg_.max_enqueuers) + id;
   }
 
-  Node* make_node() { return new Node(cfg_.max_enqueuers, live_); }
+  static std::vector<std::unique_ptr<Arena>> make_arenas(
+      std::size_t enqueuers) {
+    const std::size_t block =
+        Node::cells_offset() + BasketT::storage_bytes(enqueuers);
+    const std::size_t per_slab = std::max<std::size_t>(1, kSlabBytes / block);
+    std::vector<std::unique_ptr<Arena>> arenas;
+    arenas.reserve(enqueuers);
+    for (std::size_t i = 0; i < enqueuers; ++i) {
+      arenas.push_back(
+          std::make_unique<Arena>(block, kBasketStorageAlign, per_slab));
+    }
+    return arenas;
+  }
+
+  // Only enqueuer `id` allocates from its arena (and the constructor, for
+  // the sentinel, before any enqueuer runs).
+  Node* make_node(int id) {
+    Arena* arena = arenas_[static_cast<std::size_t>(id)].get();
+    return new (arena->allocate()) Node(arena, cfg_.max_enqueuers, live_);
+  }
 
   Node* take_reusable_or_allocate(int id) {
     Node*& slot = reusable_[static_cast<std::size_t>(id)];
@@ -165,7 +202,7 @@ class Queue {
       slot = nullptr;
       return n;
     }
-    return make_node();
+    return make_node(id);
   }
 
   // Algorithm 4 (basic try_append) with the CAS policy plugged in. The
@@ -194,6 +231,7 @@ class Queue {
 
   Config cfg_;
   std::size_t live_;
+  std::vector<std::unique_ptr<Arena>> arenas_;  // one per enqueuer
   Node* sentinel_;  // initial node; ownership passes to the list/reclaimer
   Reclaimer reclaimer_;
   alignas(kCacheLineSize) std::atomic<Node*> head_{nullptr};

@@ -8,13 +8,19 @@
 // frees the retired prefix up to min(protected indices), in mutual
 // exclusion obtained by SWAPping `retired` with null.
 //
-// Node requirements: `Node* next` and `std::uint64_t index` members.
+// The protected node with the smallest index is the first announced node
+// in list order, so free_nodes() finds it by comparing pointers and never
+// dereferences an announcement. That matters: announce-then-validate
+// (protect) may publish, for a moment, a node that was freed before the
+// announcement, and its memory may already hold another node. Such a stale
+// announcement can only stop the walk early.
+//
+// Node requirements: a `std::atomic<Node*> next` member.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <limits>
 #include <memory>
 
 #include "common/cacheline.hpp"
@@ -30,6 +36,7 @@ class RetiredList {
   RetiredList(Node* sentinel, std::size_t max_threads, Deleter deleter = {})
       : max_threads_(max_threads),
         protectors_(std::make_unique<Padded<std::atomic<Node*>>[]>(max_threads)),
+        announced_(std::make_unique<Node*[]>(max_threads)),
         retired_(sentinel),
         deleter_(deleter) {
     for (std::size_t i = 0; i < max_threads_; ++i) {
@@ -40,12 +47,10 @@ class RetiredList {
   RetiredList(const RetiredList&) = delete;
   RetiredList& operator=(const RetiredList&) = delete;
 
-  ~RetiredList() {
-    // At destruction no thread is active; the retired prefix up to (and
-    // including) whatever the caller still owns must be freed by the owner.
-    // We free nothing here: the queue frees its remaining nodes itself,
-    // starting from `retired_` (see queue destructors).
-  }
+  // Frees nothing: at destruction the owner disposes of the remaining
+  // chain, with drain_all() or by releasing the memory the nodes live in
+  // (sbq::Queue drops its arenas).
+  ~RetiredList() = default;
 
   // Announce-and-validate (Algorithm 7, protect): loop until the announced
   // snapshot is still the current value of *src, so that the node cannot
@@ -73,8 +78,14 @@ class RetiredList {
   void free_nodes(Node* head) {
     Node* retired = retired_.exchange(nullptr, std::memory_order_acq_rel);
     if (retired == nullptr) return;  // another thread is reclaiming
-    const std::uint64_t limit = min_protected_index();
-    while (retired != head && retired->index < limit) {
+    // Snapshot the announcements; announced_ is ours while we hold the
+    // retired pointer.
+    Node** const first = announced_.get();
+    Node** const last = first + max_threads_;
+    for (std::size_t i = 0; i < max_threads_; ++i) {
+      first[i] = protectors_[i].value.load(std::memory_order_acquire);
+    }
+    while (retired != head && std::find(first, last, retired) == last) {
       Node* next = retired->next.load(std::memory_order_relaxed);
       deleter_(retired);
       retired = next;
@@ -96,17 +107,9 @@ class RetiredList {
   std::size_t max_threads() const noexcept { return max_threads_; }
 
  private:
-  std::uint64_t min_protected_index() const {
-    std::uint64_t min = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t i = 0; i < max_threads_; ++i) {
-      Node* p = protectors_[i].value.load(std::memory_order_acquire);
-      if (p != nullptr && p->index < min) min = p->index;
-    }
-    return min;
-  }
-
   const std::size_t max_threads_;
   std::unique_ptr<Padded<std::atomic<Node*>>[]> protectors_;
+  std::unique_ptr<Node*[]> announced_;  // free_nodes' snapshot
   alignas(kCacheLineSize) std::atomic<Node*> retired_;
   [[no_unique_address]] Deleter deleter_;
 };

@@ -175,11 +175,17 @@ struct MachineConfig {
   ContentionPolicyParams cas_policy;
 };
 
-// TxCAS tuning (§4.1, §4.2). Cycle values assume 0.4 ns/cycle, so the
-// paper's 270 ns intra-transaction delay is ~675 cycles.
+// Simulated cycles in `ns` nanoseconds at 0.4 ns/cycle.
+inline constexpr Time cycles_from_ns(std::uint64_t ns) noexcept {
+  return ns * 5 / 2;
+}
+
+// TxCAS tuning (§4.1, §4.2): the paper's 270 ns intra-transaction delay is
+// 675 cycles; the 52 ns post-abort delay, 130 cycles, covers an
+// intra-socket Inv/Ack round trip.
 struct TxCasConfig {
-  Time intra_txn_delay = 675;
-  Time post_abort_delay = 130;  // covers an intra-socket Inv/Ack round trip
+  Time intra_txn_delay = cycles_from_ns(kIntraTxnDelayNs);
+  Time post_abort_delay = cycles_from_ns(kPostAbortDelayNs);
   int max_attempts = 64;  // then fall back to a plain CAS (wait-freedom)
   // Graceful degradation: after this many NON-conflict aborts (capacity /
   // interrupt / spurious — in the simulator these only arise from fault

@@ -10,6 +10,10 @@
 #include "common/arena.hpp"
 #include "common/cacheline.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace sbq {
 namespace {
 
@@ -124,6 +128,34 @@ TEST(Arena, ConcurrentRemoteFreeStress) {
     EXPECT_EQ(std::count(blocks.begin(), blocks.end(), p), 1);
   }
 }
+
+#if defined(__SANITIZE_ADDRESS__)
+// A recycled block never goes back to malloc, so ASan can only see a use
+// after free of one if the arena poisons it: everything but the freelist
+// link word, from the free until the block is allocated again.
+TEST(Arena, FreedBlockIsPoisonedUntilReallocated) {
+  constexpr std::size_t kBlock = 128;
+  Arena arena(kBlock, kCacheLineSize, 4);
+  auto* p = static_cast<char*>(arena.allocate());
+  auto poisoned = [](const char* a) {
+    return __asan_address_is_poisoned(a) != 0;
+  };
+  EXPECT_FALSE(poisoned(p + sizeof(void*)));
+
+  arena.deallocate_remote(p);
+  EXPECT_FALSE(poisoned(p));  // the link word
+  EXPECT_TRUE(poisoned(p + sizeof(void*)));
+  EXPECT_TRUE(poisoned(p + kBlock - 1));
+  ASSERT_EQ(arena.allocate(), p);
+  EXPECT_FALSE(poisoned(p + sizeof(void*)));
+  EXPECT_FALSE(poisoned(p + kBlock - 1));
+
+  arena.deallocate_local(p);
+  EXPECT_TRUE(poisoned(p + sizeof(void*)));
+  ASSERT_EQ(arena.allocate(), p);
+  EXPECT_FALSE(poisoned(p + kBlock - 1));
+}
+#endif
 
 }  // namespace
 }  // namespace sbq

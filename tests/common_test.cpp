@@ -49,6 +49,21 @@ TEST(Backoff, GrowsAndSaturates) {
   SUCCEED();
 }
 
+TEST(Backoff, SpinsForNsFollowTheCalibratedRelaxTime) {
+  const double relax = relax_ns();
+  ASSERT_GT(relax, 0.0);
+  EXPECT_EQ(relax_ns(), relax);  // measured once per process
+  EXPECT_EQ(spins_for_ns(0), 0u);
+  EXPECT_GE(spins_for_ns(1), 1u);
+  for (const std::uint64_t ns : {52u, 270u, 100000u}) {
+    const std::uint32_t spins = spins_for_ns(ns);
+    // Rounded to the nearest whole relax, unless clamped up to one.
+    if (spins > 1) {
+      EXPECT_NEAR(spins * relax, static_cast<double>(ns), relax / 2) << ns;
+    }
+  }
+}
+
 TEST(SplitMix64, DeterministicAndDistinct) {
   SplitMix64 a(123), b(123), c(124);
   const std::uint64_t a1 = a.next();

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/contention.hpp"
+#include "htm/cas_policy.hpp"
 #include "htm/txcas.hpp"
 #include "sim/types.hpp"
 
@@ -39,6 +40,18 @@ TEST(ContentionDefaults, NativeUsesDocumentedOverride) {
   // The override exists because the non-RTM htm:: facade reports every
   // abort as non-conflict; it must stay "degradation disabled".
   EXPECT_EQ(kNativeNonconflictAbortOverride, 0u);
+}
+
+TEST(ContentionDefaults, DelaysDeriveFromThePapersNanoseconds) {
+  // The sim's cycle defaults stay the historical 675 and 130 (goldens).
+  const sim::TxCasConfig sim_cfg;
+  EXPECT_EQ(sim_cfg.intra_txn_delay, 675u);
+  EXPECT_EQ(sim_cfg.post_abort_delay, 130u);
+  // Native spin counts are the same nanoseconds, converted by calibration.
+  const TxCasConfig native;
+  EXPECT_EQ(native.intra_txn_delay, spins_for_ns(kIntraTxnDelayNs));
+  EXPECT_EQ(native.post_abort_delay, spins_for_ns(kPostAbortDelayNs));
+  EXPECT_EQ(DelayedCas{}.delay_iterations, spins_for_ns(kIntraTxnDelayNs));
 }
 
 TEST(ContentionDefaults, PolicyNamesRoundTrip) {

@@ -10,6 +10,10 @@
 //   * BQ-Modular (sbq::Queue over TreiberBasket): dequeue may skip a basket
 //     only once it is empty AND closed. Skipping an open basket that is
 //     momentarily empty strands any value an enqueuer inserts afterwards.
+//   * SBQ-HTM and SBQ-CAS (sbq::Queue over SbqBasket): a reclaimed node
+//     goes back to its enqueuer's arena and is reused within microseconds,
+//     so reclamation that frees a node some thread still reads shows up
+//     as a lost or duplicated value.
 //
 // The workload is pairwise, like the native benchmark: every thread
 // alternates a tagged enqueue and a dequeue, then a single-threaded drain
@@ -22,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "basket/sbq_basket.hpp"
 #include "basket/treiber_basket.hpp"
 #include "common/barrier.hpp"
 #include "htm/cas_policy.hpp"
@@ -84,20 +89,33 @@ TEST(NativeStress, CcQueuePairwiseNoLossNoDup) {
   }
 }
 
-TEST(NativeStress, BqModularPairwiseNoLoss) {
-  using BqModular = Queue<Element, TreiberBasket<Element>, NativeCas>;
+// 200 pairwise rounds on a fresh sbq::Queue with one id per thread.
+template <typename QueueT>
+void sbq_pairwise_rounds() {
   const int threads = stress_threads();
   constexpr int kRounds = 200;
   constexpr std::uint64_t kPairs = 2000;
   for (int round = 0; round < kRounds; ++round) {
-    BqModular::Config cfg;
+    typename QueueT::Config cfg;
     cfg.max_enqueuers = static_cast<std::size_t>(threads);
     cfg.max_dequeuers = static_cast<std::size_t>(threads);
-    auto q = std::make_unique<BqModular>(cfg);
+    auto q = std::make_unique<QueueT>(cfg);
     ASSERT_EQ(pairwise_round(*q, threads, kPairs),
               static_cast<std::uint64_t>(threads) * kPairs)
         << "round " << round;
   }
+}
+
+TEST(NativeStress, BqModularPairwiseNoLoss) {
+  sbq_pairwise_rounds<Queue<Element, TreiberBasket<Element>, NativeCas>>();
+}
+
+TEST(NativeStress, SbqHtmPairwiseNoLossNoDup) {
+  sbq_pairwise_rounds<Queue<Element, SbqBasket<Element>, HtmCas>>();
+}
+
+TEST(NativeStress, SbqCasPairwiseNoLossNoDup) {
+  sbq_pairwise_rounds<Queue<Element, SbqBasket<Element>, DelayedCas>>();
 }
 
 }  // namespace
